@@ -164,7 +164,7 @@ fn combos() -> Vec<(Engine, OptLevel, bool, bool)> {
     });
     let opt = arg_after("--opt").map(|v| {
         OptLevel::parse(&v).unwrap_or_else(|| {
-            eprintln!("unknown --opt `{v}` (expected none|default|aggressive)");
+            eprintln!("unknown --opt `{v}` (expected none|default)");
             std::process::exit(2);
         })
     });

@@ -473,7 +473,6 @@ pub struct ServeReport {
 impl ServeReport {
     /// Render the report as a JSON document.
     pub fn to_json(&self) -> String {
-        let tiers = |xs: &[u64; 4]| format!("[{}, {}, {}, {}]", xs[0], xs[1], xs[2], xs[3]);
         let s = &self.stats;
         format!(
             "{{\n  \"schema_version\": 2,\n  \"bench\": \"serve\",\n  \
@@ -492,7 +491,7 @@ impl ServeReport {
              \"breaker_opens\": {},\n    \"breaker_short_circuits\": {},\n    \
              \"batch_groups\": {},\n    \"panics\": {},\n    \"deadline_errors\": {},\n    \
              \"budget_errors\": {},\n    \"alloc_errors\": {},\n    \
-             \"served_by_tier\": {},\n    \"faults_by_tier\": {}\n  }}\n}}\n",
+             \"served_by_tier\": {:?},\n    \"faults_by_tier\": {:?}\n  }}\n}}\n",
             self.requests,
             self.clients,
             self.kernels,
@@ -536,8 +535,8 @@ impl ServeReport {
             s.deadline_errors,
             s.budget_errors,
             s.alloc_errors,
-            tiers(&s.served_by_tier),
-            tiers(&s.faults_by_tier),
+            s.served_by_tier,
+            s.faults_by_tier,
         )
     }
 
@@ -769,7 +768,8 @@ mod tests {
             breaker_opens: 2,
             breaker_short_circuits: 5,
             batch_groups: 4,
-            served_by_tier: [10, 1, 0, 2],
+            served_by_tier: [10, 2],
+            faults_by_tier: [3, 1],
             ..Default::default()
         };
         let r = ServeReport {
@@ -799,7 +799,8 @@ mod tests {
         assert!(j.contains("\"breaker_opens\": 2"));
         assert!(j.contains("\"breaker_short_circuits\": 5"));
         assert!(j.contains("\"batch_groups\": 4"));
-        assert!(j.contains("\"served_by_tier\": [10, 1, 0, 2]"));
+        assert!(j.contains("\"served_by_tier\": [10, 2]"));
+        assert!(j.contains("\"faults_by_tier\": [3, 1]"));
         for (open, close) in [('{', '}'), ('[', ']')] {
             assert_eq!(j.matches(open).count(), j.matches(close).count());
         }

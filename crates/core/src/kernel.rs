@@ -36,7 +36,7 @@ pub enum Engine {
 
 /// Resolve a requested worker-thread count: `0` means "auto" — the
 /// machine's [`std::thread::available_parallelism`] — and anything else is
-/// clamped to at least 1 (the serial path).
+/// taken as given (1 is the serial path).
 fn resolve_threads(threads: usize) -> usize {
     if threads == 0 {
         std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
@@ -203,8 +203,7 @@ impl Kernel {
 
     /// Whether [`Kernel::compile`] will run the register-type inference
     /// stage and emit monomorphic typed bytecode (the default at
-    /// [`OptLevel::Default`] and above; never applied at
-    /// [`OptLevel::None`]).
+    /// [`OptLevel::Default`]; never applied at [`OptLevel::None`]).
     pub fn typed_dispatch(&self) -> bool {
         self.typed_dispatch
     }
@@ -224,8 +223,8 @@ impl Kernel {
 
     /// Whether [`Kernel::compile`] will run the vectorize stage over the
     /// typed bytecode, fusing matching inner loops into SIMD-style kernel
-    /// ops (the default; requires typed dispatch and an [`OptLevel`]
-    /// above [`OptLevel::None`] to have any effect).
+    /// ops (the default; requires typed dispatch and
+    /// [`OptLevel::Default`] to have any effect).
     pub fn simd(&self) -> bool {
         self.simd
     }
@@ -591,19 +590,13 @@ impl CompiledKernel {
     /// time `OptLevel::None` against `OptLevel::Default` on identical
     /// kernels.
     pub fn reoptimized(&self, level: OptLevel) -> CompiledKernel {
-        self.reoptimized_typed(level, self.typed_dispatch)
+        self.reoptimized_simd(level, self.typed_dispatch, self.simd)
     }
 
     /// [`CompiledKernel::reoptimized`] with explicit control over the
-    /// typed-dispatch stage, so the benchmark harness can time the same
-    /// kernel with typed dispatch on and off at the same [`OptLevel`].
-    pub fn reoptimized_typed(&self, level: OptLevel, typed: bool) -> CompiledKernel {
-        self.reoptimized_simd(level, typed, self.simd)
-    }
-
-    /// [`CompiledKernel::reoptimized_typed`] with explicit control over
-    /// the vectorize stage as well, so the benchmark harness can time the
-    /// same kernel with the SIMD kernel-op tier on and off.
+    /// typed-dispatch and vectorize stages, so the benchmark harness can
+    /// time the same kernel with typed dispatch and the SIMD kernel-op
+    /// tier on and off at the same [`OptLevel`].
     pub fn reoptimized_simd(&self, level: OptLevel, typed: bool, simd: bool) -> CompiledKernel {
         self.rederive(level, typed, simd, self.validation)
             .expect("re-optimisation of already-validated code must validate")
@@ -688,8 +681,8 @@ impl CompiledKernel {
     }
 
     /// Whether this kernel's bytecode went through the vectorize stage
-    /// (which only has an effect on typed bytecode above
-    /// [`OptLevel::None`]).
+    /// (which only has an effect on typed bytecode at
+    /// [`OptLevel::Default`]).
     pub fn simd(&self) -> bool {
         self.simd
     }
@@ -1670,7 +1663,7 @@ mod tests {
         let a = Tensor::sparse_list_vector("A", &av);
         let b = Tensor::band_vector("B", &bv);
         let typed = dot_product(&a, &b);
-        let mut generic = typed.reoptimized_typed(OptLevel::Default, false);
+        let mut generic = typed.reoptimized_simd(OptLevel::Default, false, typed.simd());
         let mut typed = typed;
         assert!(!generic.typed_dispatch());
         assert_eq!(generic.opt_stats().instrs_typed, 0);
@@ -1781,6 +1774,11 @@ mod tests {
             let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(&s_out), bits(&p_out), "{threads} threads: outputs diverge");
         }
+        // Asking for 64 threads must not grow the shard pool past the
+        // machine's cores: extra shards queue on the workers it has.
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let workers = finch_ir::par::pool_workers();
+        assert!(workers <= cores, "shard pool holds {workers} workers on {cores} cores");
     }
 
     #[test]
@@ -1805,16 +1803,17 @@ mod tests {
     }
 
     #[test]
-    fn threads_clamp_to_one_and_carry_through_reoptimize() {
+    fn zero_threads_resolve_to_available_parallelism_and_carry_through_reoptimize() {
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
         let a = Tensor::dense_vector("A", &[1.0, 2.0]);
         let b = Tensor::dense_vector("B", &[3.0, 4.0]);
         let mut k = dot_product(&a, &b);
         k.set_threads(0);
-        assert_eq!(k.threads(), 1);
+        assert_eq!(k.threads(), cores, "0 means one thread per available core");
         k.set_threads(4);
         let re = k.reoptimized(OptLevel::None);
         assert_eq!(re.threads(), 4, "reoptimize must carry the thread count");
-        assert_eq!(Kernel::new().with_threads(0).threads(), 1);
+        assert_eq!(Kernel::new().with_threads(0).threads(), cores);
     }
 
     #[test]

@@ -2,8 +2,9 @@
 //!
 //! [`KernelService`] owns a bounded LRU cache of [`CompiledKernel`]s keyed by
 //! kernel *structure* — the CIN program text, every input's level formats and
-//! sizes (not its data), the requested output formats, and the optimisation
-//! configuration.  Requests whose structure matches a cached entry skip
+//! sizes (not its data), and the requested output formats.  Every entry is
+//! compiled with the service's one configuration, so the configuration is
+//! not part of the key.  Requests whose structure matches a cached entry skip
 //! compilation entirely: the entry's input buffers are overwritten in place
 //! ([`CompiledKernel::rebind_input`]) and the persistent VM re-runs without
 //! allocating.
@@ -17,11 +18,11 @@
 //! 2. **Panic isolation** — every compile and run is wrapped in
 //!    `catch_unwind`.  A panicking entry is quarantined (poisoned), recompiled
 //!    once after a short backoff, and evicted if the retry also faults.
-//! 3. **Degradation ladder** — a faulting kernel falls back through
-//!    progressively simpler execution tiers ([`Tier`]): SIMD/parallel
-//!    bytecode → typed serial bytecode → untyped bytecode → the tree-walk
-//!    oracle.  All tiers run at the same [`OptLevel`], so a degraded response
-//!    is bit-identical to the fast path's.
+//! 3. **Degradation ladder** — a kernel that faults on the fast bytecode
+//!    tier is quarantined, recompiled, and retried once; if the retry faults
+//!    too, the request falls back to the tree-walk oracle ([`Tier`]).  Both
+//!    tiers run at the same optimisation level, so a degraded response is
+//!    bit-identical to the fast path's.
 //! 4. **Deadline-aware admission** — past the in-flight limit, requests
 //!    queue FIFO-fairly up to their remaining deadline instead of shedding
 //!    instantly; behind the bounded queue the typed
@@ -66,7 +67,7 @@ use std::time::{Duration, Instant};
 use finch_cin::CinStmt;
 use finch_formats::{LevelSpec, Tensor};
 use finch_ir::opt::ValidationLevel;
-use finch_ir::{ExecStats, OptLevel, RuntimeError, Watch};
+use finch_ir::{ExecStats, RuntimeError, Watch};
 
 use crate::breaker::{BreakerBoard, BreakerDecision, BreakerPolicy};
 use crate::error::{CompileError, ServiceError};
@@ -100,13 +101,6 @@ pub struct ServiceConfig {
     pub step_budget: Option<u64>,
     /// Per-request output allocation budget in elements.  `None` disables it.
     pub alloc_budget: Option<u64>,
-    /// Optimisation level kernels are compiled at (a request may override it
-    /// with [`Request::with_opt_level`]).
-    pub opt_level: OptLevel,
-    /// Whether the fast tier uses typed dispatch.
-    pub typed_dispatch: bool,
-    /// Whether the fast tier uses vectorized superinstructions.
-    pub simd: bool,
     /// Worker threads for the fast tier (`0` = one per available core).
     pub threads: usize,
     /// Pass-manager validation level used when compiling.
@@ -127,9 +121,6 @@ impl Default for ServiceConfig {
             deadline: None,
             step_budget: None,
             alloc_budget: None,
-            opt_level: OptLevel::Default,
-            typed_dispatch: true,
-            simd: true,
             threads: 1,
             validation: ValidationLevel::Off,
             retry_backoff: Duration::from_millis(1),
@@ -152,15 +143,14 @@ pub enum ReadBack {
 /// and requested outputs.
 ///
 /// Structurally identical requests — same program text, same input formats
-/// and sizes (data may differ), same output formats, same optimisation
-/// configuration — share one cached compiled kernel.
+/// and sizes (data may differ), same output formats — share one cached
+/// compiled kernel.
 #[derive(Debug, Clone)]
 pub struct Request {
     program: CinStmt,
     inputs: Vec<Tensor>,
     outputs: Vec<(String, Vec<LevelSpec>)>,
     read: ReadBack,
-    opt_level: Option<OptLevel>,
     /// First boundary-validation failure among the inputs, recorded at bind
     /// time and surfaced by `submit` as [`ServiceError::InvalidInput`].
     invalid: Option<(String, String)>,
@@ -174,7 +164,6 @@ impl Request {
             inputs: Vec::new(),
             outputs: Vec::new(),
             read: ReadBack::Stats,
-            opt_level: None,
             invalid: None,
         }
     }
@@ -216,50 +205,36 @@ impl Request {
         self.read = ReadBack::Stats;
         self
     }
-
-    /// Override the service's optimisation level for this request.  Requests
-    /// at different levels key to different cache entries.
-    pub fn with_opt_level(mut self, level: OptLevel) -> Self {
-        self.opt_level = Some(level);
-        self
-    }
 }
 
-/// The execution tier a response was served from.  Tiers descend in order
-/// when the tier above faults; all tiers run at the same [`OptLevel`], so
-/// their outputs and [`ExecStats`] are bit-identical.
+/// The execution tier a response was served from.  A request falls back
+/// to the oracle when the fast tier faults twice (before and after a
+/// quarantine recompile); both tiers run at the same optimisation level, so their
+/// outputs and [`ExecStats`] are bit-identical.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Tier {
-    /// Bytecode VM with the configured typed dispatch, SIMD, and threads.
+    /// Bytecode VM with the configured threads, typed dispatch and SIMD.
     Fast,
-    /// Typed bytecode VM, no SIMD, single-threaded.
-    TypedSerial,
-    /// Untyped bytecode VM, single-threaded.
-    Untyped,
     /// The tree-walking reference interpreter.
     Oracle,
 }
 
 impl Tier {
-    /// All tiers, fastest first — the order the degradation ladder descends.
-    pub const ALL: [Tier; 4] = [Tier::Fast, Tier::TypedSerial, Tier::Untyped, Tier::Oracle];
+    /// Both tiers, fastest first — the order the degradation ladder descends.
+    pub const ALL: [Tier; 2] = [Tier::Fast, Tier::Oracle];
 
     /// The tier's position on the ladder (0 = fastest).
     pub fn index(self) -> usize {
         match self {
             Tier::Fast => 0,
-            Tier::TypedSerial => 1,
-            Tier::Untyped => 2,
-            Tier::Oracle => 3,
+            Tier::Oracle => 1,
         }
     }
 
-    /// A short stable label (`fast` / `typed_serial` / `untyped` / `oracle`).
+    /// A short stable label (`fast` / `oracle`).
     pub fn label(self) -> &'static str {
         match self {
             Tier::Fast => "fast",
-            Tier::TypedSerial => "typed_serial",
-            Tier::Untyped => "untyped",
             Tier::Oracle => "oracle",
         }
     }
@@ -319,11 +294,13 @@ pub enum FaultKind {
     Stall,
 }
 
-/// One injected fault: strikes the `request`-th request (by admission order,
-/// starting at 0) at the given point.
+/// One injected fault: strikes the `request`-th request to reach execution
+/// (starting at 0) at the given point.  Requests turned away before they
+/// execute — invalid input, admission, an open breaker under
+/// [`BreakerPolicy::Reject`], a failed compile — draw no index.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultRule {
-    /// Which request (0-based admission index) the fault strikes.
+    /// Which request (0-based execution index) the fault strikes.
     pub request: u64,
     /// Where in the lifecycle it strikes.
     pub point: InjectPoint,
@@ -394,8 +371,8 @@ impl FaultPlan {
             };
             plan.push(FaultRule { request, point, kind });
             // Occasionally stack a second panic on the same request so the
-            // fast-tier retry also faults and the request degrades down the
-            // ladder (a single rule is always absorbed by the retry).
+            // fast-tier retry also faults and the request degrades to the
+            // oracle (a single rule is always absorbed by the retry).
             if kind == FaultKind::Panic && next() % 4 == 0 {
                 plan.push(FaultRule {
                     request,
@@ -460,9 +437,9 @@ pub struct ServiceStats {
     /// Requests that failed with [`RuntimeError::AllocBudgetExceeded`].
     pub alloc_errors: u64,
     /// Successful responses per tier, indexed by [`Tier::index`].
-    pub served_by_tier: [u64; 4],
+    pub served_by_tier: [u64; 2],
     /// Faults observed per tier, indexed by [`Tier::index`].
-    pub faults_by_tier: [u64; 4],
+    pub faults_by_tier: [u64; 2],
 }
 
 #[derive(Default)]
@@ -484,8 +461,8 @@ struct AtomicStats {
     deadline_errors: AtomicU64,
     budget_errors: AtomicU64,
     alloc_errors: AtomicU64,
-    served_by_tier: [AtomicU64; 4],
-    faults_by_tier: [AtomicU64; 4],
+    served_by_tier: [AtomicU64; 2],
+    faults_by_tier: [AtomicU64; 2],
 }
 
 impl AtomicStats {
@@ -569,11 +546,10 @@ struct KeyCheck {
     program: String,
     inputs: Vec<InputSig>,
     outputs: Vec<(String, Vec<LevelSpec>)>,
-    opt: OptLevel,
 }
 
 impl KeyCheck {
-    fn of(req: &Request, opt: OptLevel) -> Self {
+    fn of(req: &Request) -> Self {
         let mut program = String::new();
         let _ = write!(program, "{}", req.program);
         KeyCheck {
@@ -588,14 +564,13 @@ impl KeyCheck {
                 })
                 .collect(),
             outputs: req.outputs.clone(),
-            opt,
         }
     }
 
     /// Whether `req` (whose program renders to `program`) is structurally the
     /// kernel this entry was compiled for.
-    fn matches(&self, program: &str, req: &Request, opt: OptLevel) -> bool {
-        if self.opt != opt || self.program != program {
+    fn matches(&self, program: &str, req: &Request) -> bool {
+        if self.program != program {
             return false;
         }
         if self.inputs.len() != req.inputs.len() || self.outputs.len() != req.outputs.len() {
@@ -618,12 +593,10 @@ impl KeyCheck {
     }
 }
 
-/// One cached kernel: the fast-tier compiled kernel plus lazily-derived
-/// degraded variants, quarantine state, and LRU bookkeeping.
+/// One cached kernel: the fast-tier compiled kernel plus the lazily-derived
+/// oracle variant, quarantine state, and LRU bookkeeping.
 struct Entry {
     base: CompiledKernel,
-    typed_serial: Option<CompiledKernel>,
-    untyped: Option<CompiledKernel>,
     oracle: Option<CompiledKernel>,
     check: KeyCheck,
     poisoned: bool,
@@ -710,9 +683,9 @@ pub struct HealthSnapshot {
     /// Circuit breakers half-open (a probe in flight).
     pub breakers_half_open: usize,
     /// Successful responses per tier, indexed by [`Tier::index`].
-    pub served_by_tier: [u64; 4],
+    pub served_by_tier: [u64; 2],
     /// Faults observed per tier, indexed by [`Tier::index`].
-    pub faults_by_tier: [u64; 4],
+    pub faults_by_tier: [u64; 2],
 }
 
 impl Default for KernelService {
@@ -783,14 +756,11 @@ impl KernelService {
         }
         let deadline = self.request_deadline();
         let permit = self.admit(deadline)?;
-        let rid = self.next_request.fetch_add(1, Ordering::SeqCst);
-        let opt = req.opt_level.unwrap_or(self.cfg.opt_level);
-        let key = self.key_of(req, opt);
-        let mut result = self.serve_one(req, key, opt, rid, deadline);
-        if let Ok(resp) = &mut result {
-            resp.queue_wait = permit.waited;
-        }
-        result
+        let key = self.key_of(req);
+        let mut result = [None];
+        self.serve_group(std::slice::from_ref(req), key, &[0], deadline, &permit, &mut result);
+        let [result] = result;
+        result.expect("the request resolved")
     }
 
     /// Execute a slice of requests under **one** admission permit, grouped
@@ -813,7 +783,7 @@ impl KernelService {
             Err(err) => return reqs.iter().map(|_| Err(err.clone())).collect(),
         };
 
-        // Group indices by (key, opt level), preserving first-seen order.
+        // Group indices by key, preserving first-seen order.
         let mut results: Vec<Option<Result<Response, ServiceError>>> = vec![None; reqs.len()];
         let mut groups: Vec<((u64, u64), Vec<usize>)> = Vec::new();
         for (i, req) in reqs.iter().enumerate() {
@@ -824,11 +794,8 @@ impl KernelService {
                 }));
                 continue;
             }
-            let opt = req.opt_level.unwrap_or(self.cfg.opt_level);
-            let key = self.key_of(req, opt);
-            match groups.iter_mut().find(|(k, idxs)| {
-                *k == key && reqs[idxs[0]].opt_level.unwrap_or(self.cfg.opt_level) == opt
-            }) {
+            let key = self.key_of(req);
+            match groups.iter_mut().find(|(k, _)| *k == key) {
                 Some((_, idxs)) => idxs.push(i),
                 None => groups.push((key, vec![i])),
             }
@@ -842,7 +809,10 @@ impl KernelService {
         results.into_iter().map(|r| r.expect("every request resolved")).collect()
     }
 
-    /// Serve one structural group of a batch against a single checkout.
+    /// Serve one structural group against a single checkout: the breaker,
+    /// cache, and ladder path shared by `submit` (a one-request group) and
+    /// `submit_batch`.  Each member draws its fault-plan request index just
+    /// before it executes.
     fn serve_group(
         &self,
         reqs: &[Request],
@@ -853,7 +823,6 @@ impl KernelService {
         results: &mut [Option<Result<Response, ServiceError>>],
     ) {
         let first = idxs[0];
-        let opt = reqs[first].opt_level.unwrap_or(self.cfg.opt_level);
         let (tier_start, probe, short_circuited) = match self.breaker_gate(key) {
             Ok(gate) => gate,
             Err(err) => {
@@ -863,7 +832,7 @@ impl KernelService {
                 return;
             }
         };
-        let (mut entry, cache_hit, cached) = match self.checkout(key, &reqs[first], opt, deadline) {
+        let (mut entry, cache_hit, cached) = match self.checkout(key, &reqs[first], deadline) {
             Ok(x) => x,
             Err(err) => {
                 if probe {
@@ -902,51 +871,20 @@ impl KernelService {
         }
     }
 
-    /// The admission + breaker + cache + ladder path shared by `submit`,
-    /// after the request holds a permit and a request id.
-    fn serve_one(
-        &self,
-        req: &Request,
-        key: (u64, u64),
-        opt: OptLevel,
-        rid: u64,
-        deadline: Option<(Instant, u64)>,
-    ) -> Result<Response, ServiceError> {
-        let (tier_start, probe, short_circuited) = self.breaker_gate(key)?;
-        let (mut entry, cache_hit, cached) = match self.checkout(key, req, opt, deadline) {
-            Ok(x) => x,
-            Err(err) => {
-                if probe {
-                    self.breakers.abort_probe(key);
-                }
-                return Err(err);
-            }
-        };
-        let (result, evict, faults) =
-            self.execute(&mut entry, req, deadline, rid, cache_hit, tier_start);
-        if cached {
-            self.checkin(key, entry, evict);
-        }
-        if !short_circuited && self.breakers.record(key, faults, probe) {
-            self.stats.breaker_opens.fetch_add(1, Ordering::Relaxed);
-        }
-        result
-    }
-
-    /// Consult `key`'s circuit breaker.  Returns the starting tier index,
+    /// Consult `key`'s circuit breaker.  Returns the starting tier,
     /// whether this request is the half-open probe, and whether it was
     /// short-circuited (skip breaker recording); or the typed rejection
     /// under [`BreakerPolicy::Reject`].
-    fn breaker_gate(&self, key: (u64, u64)) -> Result<(usize, bool, bool), ServiceError> {
+    fn breaker_gate(&self, key: (u64, u64)) -> Result<(Tier, bool, bool), ServiceError> {
         match self.breakers.admit(key) {
-            BreakerDecision::Allow { probe } => Ok((0, probe, false)),
+            BreakerDecision::Allow { probe } => Ok((Tier::Fast, probe, false)),
             BreakerDecision::ShortCircuit { consecutive_faults, cooldown_ms } => {
                 self.stats.breaker_short_circuits.fetch_add(1, Ordering::Relaxed);
                 match self.cfg.breaker_policy {
                     BreakerPolicy::Reject => {
                         Err(ServiceError::CircuitOpen { consecutive_faults, cooldown_ms })
                     }
-                    BreakerPolicy::Degrade => Ok((Tier::Oracle.index(), false, true)),
+                    BreakerPolicy::Degrade => Ok((Tier::Oracle, false, true)),
                 }
             }
         }
@@ -1066,7 +1004,7 @@ impl KernelService {
         self.inner.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    fn key_of(&self, req: &Request, opt: OptLevel) -> (u64, u64) {
+    fn key_of(&self, req: &Request) -> (u64, u64) {
         let mut h = KeyHasher::new();
         let _ = write!(h, "{}", req.program);
         h.byte(0xfe);
@@ -1089,10 +1027,6 @@ impl KernelService {
             }
             h.byte(2);
         }
-        h.bytes(opt.label().as_bytes());
-        h.byte(u8::from(self.cfg.typed_dispatch));
-        h.byte(u8::from(self.cfg.simd));
-        h.word(self.cfg.threads as u64);
         h.finish()
     }
 
@@ -1105,7 +1039,6 @@ impl KernelService {
         &self,
         key: (u64, u64),
         req: &Request,
-        opt: OptLevel,
         deadline: Option<(Instant, u64)>,
     ) -> Result<(Box<Entry>, bool, bool), ServiceError> {
         let mut inner = self.lock_inner();
@@ -1121,7 +1054,7 @@ impl KernelService {
                     inner.slots.insert(key, SlotState::Busy);
                     drop(inner);
                     self.stats.misses.fetch_add(1, Ordering::Relaxed);
-                    return match self.compile_entry(req, opt) {
+                    return match self.compile_entry(req) {
                         Ok(entry) => Ok((Box::new(entry), false, true)),
                         Err(err) => {
                             self.lock_inner().slots.remove(&key);
@@ -1144,7 +1077,7 @@ impl KernelService {
                     scratch.clear();
                     let _ = write!(scratch, "{}", req.program);
                     let matched = match inner.slots.get(&key) {
-                        Some(SlotState::Ready(entry)) => entry.check.matches(&scratch, req, opt),
+                        Some(SlotState::Ready(entry)) => entry.check.matches(&scratch, req),
                         _ => false,
                     };
                     inner.scratch = scratch;
@@ -1162,15 +1095,15 @@ impl KernelService {
                     // serve this request from a one-shot uncached compile.
                     drop(inner);
                     self.stats.misses.fetch_add(1, Ordering::Relaxed);
-                    return self.compile_entry(req, opt).map(|e| (Box::new(e), false, false));
+                    return self.compile_entry(req).map(|e| (Box::new(e), false, false));
                 }
             }
         }
     }
 
-    fn compile_entry(&self, req: &Request, opt: OptLevel) -> Result<Entry, ServiceError> {
+    fn compile_entry(&self, req: &Request) -> Result<Entry, ServiceError> {
         self.stats.compiles.fetch_add(1, Ordering::Relaxed);
-        let built = catch_unwind(AssertUnwindSafe(|| self.build_kernel(req, opt)));
+        let built = catch_unwind(AssertUnwindSafe(|| self.build_kernel(req)));
         let base = match built {
             Ok(Ok(kernel)) => kernel,
             Ok(Err(err)) => return Err(ServiceError::Compile(err)),
@@ -1182,24 +1115,12 @@ impl KernelService {
                 });
             }
         };
-        Ok(Entry {
-            base,
-            typed_serial: None,
-            untyped: None,
-            oracle: None,
-            check: KeyCheck::of(req, opt),
-            poisoned: false,
-            last_used: 0,
-        })
+        Ok(Entry { base, oracle: None, check: KeyCheck::of(req), poisoned: false, last_used: 0 })
     }
 
-    fn build_kernel(&self, req: &Request, opt: OptLevel) -> Result<CompiledKernel, CompileError> {
-        let mut kernel = Kernel::new()
-            .with_opt_level(opt)
-            .with_typed_dispatch(self.cfg.typed_dispatch)
-            .with_simd(self.cfg.simd)
-            .with_threads(self.cfg.threads)
-            .with_validation(self.cfg.validation);
+    fn build_kernel(&self, req: &Request) -> Result<CompiledKernel, CompileError> {
+        let mut kernel =
+            Kernel::new().with_threads(self.cfg.threads).with_validation(self.cfg.validation);
         for tensor in &req.inputs {
             kernel.bind_input(tensor);
         }
@@ -1213,11 +1134,12 @@ impl KernelService {
         kernel.compile(&req.program)
     }
 
-    /// Run the entry for `req`, descending the degradation ladder on faults
-    /// starting at tier `tier_start` (0, or the oracle tier when the
-    /// structure's breaker short-circuits).  Returns the outcome, whether
-    /// the entry is condemned (must be evicted instead of checked back in),
-    /// and the number of tier-faults observed (the breaker's input).
+    /// Run the entry for `req` on the fast tier — quarantining,
+    /// recompiling, and retrying it once after a fault — then on the oracle
+    /// if the retry faults too.  A short-circuited structure starts at
+    /// `tier_start == Tier::Oracle`.  Returns the outcome, whether the
+    /// entry is condemned (must be evicted instead of checked back in), and
+    /// the number of tier-faults observed (the breaker's input).
     fn execute(
         &self,
         entry: &mut Entry,
@@ -1225,7 +1147,7 @@ impl KernelService {
         deadline: Option<(Instant, u64)>,
         rid: u64,
         cache_hit: bool,
-        tier_start: usize,
+        tier_start: Tier,
     ) -> (Result<Response, ServiceError>, bool, u32) {
         let mut faults = 0u32;
         // Lookup-point faults poison the entry before it serves.
@@ -1251,61 +1173,72 @@ impl KernelService {
         }
 
         let mut attempts = 0u32;
-        let mut last_fault = String::new();
-        let mut tier0_retried = false;
         let mut evict = false;
-        let mut tier_idx = tier_start.min(Tier::ALL.len() - 1);
-        while tier_idx < Tier::ALL.len() {
-            let tier = Tier::ALL[tier_idx];
-            attempts += 1;
-            let injected = self.take_fault(rid, false);
-            match self.attempt(entry, tier, req, deadline, injected, cache_hit) {
-                AttemptOutcome::Ok(resp) => {
-                    self.stats.served_by_tier[tier_idx].fetch_add(1, Ordering::Relaxed);
-                    return (Ok(resp), evict, faults);
+        if tier_start == Tier::Fast {
+            for retried in [false, true] {
+                attempts += 1;
+                match self.run_tier(entry, Tier::Fast, req, deadline, rid, cache_hit) {
+                    Ok(result) => return (result, evict, faults),
+                    Err(_) => faults += 1,
                 }
-                AttemptOutcome::Typed(err) => {
+                if retried {
+                    // The retry faulted too: condemn the entry.
+                    evict = true;
+                    break;
+                }
+                // Quarantine: recompile once with backoff, retry the fast
+                // tier.
+                entry.poisoned = true;
+                self.stats.quarantined.fetch_add(1, Ordering::Relaxed);
+                if let Err(err) = self.backoff(rid, deadline) {
                     self.count_runtime(&err);
-                    return (Err(ServiceError::Runtime(err)), evict, faults);
+                    return (Err(ServiceError::Runtime(err)), false, faults);
                 }
-                AttemptOutcome::Fault(detail) => {
-                    self.stats.faults_by_tier[tier_idx].fetch_add(1, Ordering::Relaxed);
-                    self.stats.panics.fetch_add(1, Ordering::Relaxed);
+                if self.recompile_base(entry).is_err() {
                     faults += 1;
-                    last_fault = detail;
-                    if tier == Tier::Fast && !tier0_retried {
-                        // Quarantine: recompile once with backoff, retry the
-                        // fast tier.
-                        tier0_retried = true;
-                        entry.poisoned = true;
-                        self.stats.quarantined.fetch_add(1, Ordering::Relaxed);
-                        if let Err(err) = self.backoff(rid, deadline) {
-                            self.count_runtime(&err);
-                            return (Err(ServiceError::Runtime(err)), false, faults);
-                        }
-                        match self.recompile_base(entry) {
-                            Ok(()) => {
-                                entry.poisoned = false;
-                                continue;
-                            }
-                            Err(detail) => {
-                                last_fault = detail;
-                                faults += 1;
-                                evict = true;
-                                tier_idx += 1;
-                            }
-                        }
-                    } else {
-                        if tier == Tier::Fast {
-                            // The retry faulted too: condemn the entry.
-                            evict = true;
-                        }
-                        tier_idx += 1;
-                    }
+                    evict = true;
+                    break;
                 }
+                entry.poisoned = false;
             }
         }
-        (Err(ServiceError::Faulted { attempts, detail: last_fault }), true, faults)
+        attempts += 1;
+        match self.run_tier(entry, Tier::Oracle, req, deadline, rid, cache_hit) {
+            Ok(result) => (result, evict, faults),
+            // The oracle's fault detail supersedes the fast tier's.
+            Err(detail) => (Err(ServiceError::Faulted { attempts, detail }), true, faults + 1),
+        }
+    }
+
+    /// One attempt at `tier` with the request's next injected fault, if
+    /// any.  `Ok` carries the final outcome — a response or a typed
+    /// runtime error, both counted; `Err` carries the detail of a caught
+    /// fault, counted against the tier.
+    fn run_tier(
+        &self,
+        entry: &mut Entry,
+        tier: Tier,
+        req: &Request,
+        deadline: Option<(Instant, u64)>,
+        rid: u64,
+        cache_hit: bool,
+    ) -> Result<Result<Response, ServiceError>, String> {
+        let injected = self.take_fault(rid, false);
+        match self.attempt(entry, tier, req, deadline, injected, cache_hit) {
+            AttemptOutcome::Ok(resp) => {
+                self.stats.served_by_tier[tier.index()].fetch_add(1, Ordering::Relaxed);
+                Ok(Ok(resp))
+            }
+            AttemptOutcome::Typed(err) => {
+                self.count_runtime(&err);
+                Ok(Err(ServiceError::Runtime(err)))
+            }
+            AttemptOutcome::Fault(detail) => {
+                self.stats.faults_by_tier[tier.index()].fetch_add(1, Ordering::Relaxed);
+                self.stats.panics.fetch_add(1, Ordering::Relaxed);
+                Err(detail)
+            }
+        }
     }
 
     /// The quarantine backoff, capped by the request's remaining deadline
@@ -1344,15 +1277,8 @@ impl KernelService {
 
     fn recompile_base(&self, entry: &mut Entry) -> Result<(), String> {
         self.stats.recompiles.fetch_add(1, Ordering::Relaxed);
-        let (opt, typed, simd, threads) = (
-            entry.base.opt_level(),
-            entry.base.typed_dispatch(),
-            entry.base.simd(),
-            entry.base.threads(),
-        );
-        let rebuilt = catch_unwind(AssertUnwindSafe(|| {
-            entry.base.reoptimized_simd(opt, typed, simd).with_threads(threads)
-        }));
+        let rebuilt =
+            catch_unwind(AssertUnwindSafe(|| entry.base.reoptimized(entry.base.opt_level())));
         match rebuilt {
             Ok(kernel) => {
                 entry.base = kernel;
@@ -1365,38 +1291,20 @@ impl KernelService {
         }
     }
 
-    /// The kernel variant for a tier, derived lazily from the fast-tier
-    /// kernel at the same [`OptLevel`] (so results stay bit-identical).
+    /// The kernel for a tier.  The oracle is derived lazily from the
+    /// fast-tier kernel at the same optimisation level (so results stay
+    /// bit-identical).
     fn tier_kernel(entry: &mut Entry, tier: Tier) -> &mut CompiledKernel {
-        let opt = entry.base.opt_level();
         match tier {
             Tier::Fast => &mut entry.base,
-            Tier::TypedSerial => {
-                if entry.typed_serial.is_none() {
-                    entry.typed_serial =
-                        Some(entry.base.reoptimized_simd(opt, true, false).with_threads(1));
-                }
-                entry.typed_serial.as_mut().expect("just built")
-            }
-            Tier::Untyped => {
-                if entry.untyped.is_none() {
-                    entry.untyped =
-                        Some(entry.base.reoptimized_simd(opt, false, false).with_threads(1));
-                }
-                entry.untyped.as_mut().expect("just built")
-            }
-            Tier::Oracle => {
-                if entry.oracle.is_none() {
-                    entry.oracle = Some(
-                        entry
-                            .base
-                            .reoptimized_simd(opt, false, false)
-                            .with_threads(1)
-                            .with_engine(Engine::TreeWalk),
-                    );
-                }
-                entry.oracle.as_mut().expect("just built")
-            }
+            Tier::Oracle => entry.oracle.get_or_insert_with(|| {
+                let opt = entry.base.opt_level();
+                entry
+                    .base
+                    .reoptimized_simd(opt, false, false)
+                    .with_threads(1)
+                    .with_engine(Engine::TreeWalk)
+            }),
         }
     }
 
@@ -1628,9 +1536,6 @@ mod tests {
         let (sa, sb) = sparse_pair(16);
         svc.submit(&dot_request(&sa, &sb)).unwrap();
 
-        // Same everything but a different requested opt level.
-        svc.submit(&dot_request(&a, &b).with_opt_level(OptLevel::None)).unwrap();
-
         // Same inputs, different output format request.
         let i = idx("i");
         let program = forall(
@@ -1647,8 +1552,8 @@ mod tests {
 
         let stats = svc.stats();
         assert_eq!(stats.hits, 0);
-        assert_eq!(stats.misses, 4);
-        assert_eq!(stats.compiles, 4);
+        assert_eq!(stats.misses, 3);
+        assert_eq!(stats.compiles, 3);
     }
 
     #[test]
@@ -1712,17 +1617,11 @@ mod tests {
         };
 
         // k injected panics walk the ladder: 1 → fast (after quarantine +
-        // recompile), 2 → typed serial, 3 → untyped, 4 → oracle, 5 → typed
-        // Faulted error.  Every served tier returns the identical scalar.
-        let expect_tier = [Tier::Fast, Tier::TypedSerial, Tier::Untyped, Tier::Oracle];
-        let points = [
-            InjectPoint::PreRun,
-            InjectPoint::MidRun,
-            InjectPoint::PostRun,
-            InjectPoint::PreRun,
-            InjectPoint::MidRun,
-        ];
-        for k in 1..=5u64 {
+        // recompile), 2 → oracle, 3 → typed Faulted error.  Every served
+        // tier returns the identical scalar.
+        let expect_tier = [Tier::Fast, Tier::Oracle];
+        let points = [InjectPoint::PreRun, InjectPoint::MidRun, InjectPoint::PostRun];
+        for k in 1..=3u64 {
             let svc = KernelService::default();
             svc.submit(&dot_request(&a, &b)).unwrap(); // warm: rid 0
             let mut plan = FaultPlan::new();
@@ -1736,7 +1635,7 @@ mod tests {
             svc.install_faults(plan);
             let result = svc.submit(&dot_request(&a, &b));
             let stats = svc.stats();
-            if k <= 4 {
+            if k <= 2 {
                 let resp = result.unwrap();
                 assert_eq!(resp.tier, expect_tier[k as usize - 1], "k = {k}");
                 assert_eq!(
@@ -1746,7 +1645,7 @@ mod tests {
                 );
             } else {
                 match result {
-                    Err(ServiceError::Faulted { attempts, .. }) => assert_eq!(attempts, 5),
+                    Err(ServiceError::Faulted { attempts, .. }) => assert_eq!(attempts, 3),
                     other => panic!("expected Faulted, got {other:?}"),
                 }
             }
@@ -1755,10 +1654,8 @@ mod tests {
             let faults: u64 = stats.faults_by_tier.iter().sum();
             assert_eq!(faults, k);
             // One quarantine + recompile as soon as the fast tier faults.
-            if k >= 1 {
-                assert_eq!(stats.quarantined, 1);
-                assert_eq!(stats.recompiles, 1);
-            }
+            assert_eq!(stats.quarantined, 1);
+            assert_eq!(stats.recompiles, 1);
         }
     }
 
@@ -1879,10 +1776,9 @@ mod tests {
         // Check out the only entry by hand so the slot stays Busy, then
         // submit from another thread: it must time out with Deadline rather
         // than wait forever.
-        let opt = svc.cfg.opt_level;
         let req = dot_request(&a, &b);
-        let key = svc.key_of(&req, opt);
-        let (entry, hit, cached) = svc.checkout(key, &req, opt, None).unwrap();
+        let key = svc.key_of(&req);
+        let (entry, hit, cached) = svc.checkout(key, &req, None).unwrap();
         assert!(hit && cached);
 
         let done = Arc::new(AtomicBool::new(false));

@@ -75,7 +75,7 @@ pub use error::RuntimeError;
 pub use expr::{BinOp, Expr, UnOp};
 pub use interp::{ExecStats, Interpreter};
 pub use opt::{OptLevel, OptStats};
-pub use par::{pool_run, run_sharded};
+pub use par::run_sharded;
 pub use stmt::{Extent, Stmt};
 pub use value::{Value, ValueKind};
 pub use var::{Names, Var};

@@ -26,16 +26,10 @@ use crate::var::Var;
 
 use super::OptStats;
 
-/// Fold and propagate constants through a program.  When
-/// `unroll_point_loops` is set (the `Aggressive` level), `for` loops with
-/// identical literal bounds are replaced by a single unrolled iteration.
-pub(super) fn fold_stmts(
-    stmts: &[Stmt],
-    unroll_point_loops: bool,
-    stats: &mut OptStats,
-) -> Vec<Stmt> {
+/// Fold and propagate constants through a program.
+pub(super) fn fold_stmts(stmts: &[Stmt], stats: &mut OptStats) -> Vec<Stmt> {
     let mut env: HashMap<Var, Expr> = HashMap::new();
-    fold_seq(stmts, &mut env, unroll_point_loops, stats)
+    fold_seq(stmts, &mut env, stats)
 }
 
 /// Remove every fact about `var`: its own binding and any binding whose
@@ -151,26 +145,15 @@ fn fold_node(e: &Expr) -> Option<Expr> {
     }
 }
 
-fn fold_seq(
-    stmts: &[Stmt],
-    env: &mut HashMap<Var, Expr>,
-    unroll: bool,
-    stats: &mut OptStats,
-) -> Vec<Stmt> {
+fn fold_seq(stmts: &[Stmt], env: &mut HashMap<Var, Expr>, stats: &mut OptStats) -> Vec<Stmt> {
     let mut out = Vec::new();
     for s in stmts {
-        fold_stmt(s, env, unroll, stats, &mut out);
+        fold_stmt(s, env, stats, &mut out);
     }
     out
 }
 
-fn fold_stmt(
-    s: &Stmt,
-    env: &mut HashMap<Var, Expr>,
-    unroll: bool,
-    stats: &mut OptStats,
-    out: &mut Vec<Stmt>,
-) {
+fn fold_stmt(s: &Stmt, env: &mut HashMap<Var, Expr>, stats: &mut OptStats, out: &mut Vec<Stmt>) {
     match s {
         Stmt::Comment(_) => out.push(s.clone()),
         Stmt::Let { var, init } => {
@@ -205,15 +188,15 @@ fn fold_stmt(
                 if let Some(taken) = taken {
                     stats.branches_pruned += 1;
                     let branch = if taken { then_branch } else { else_branch };
-                    let folded = fold_seq(branch, env, unroll, stats);
+                    let folded = fold_seq(branch, env, stats);
                     out.extend(folded);
                     return;
                 }
             }
             let mut then_env = env.clone();
-            let then_branch = fold_seq(then_branch, &mut then_env, unroll, stats);
+            let then_branch = fold_seq(then_branch, &mut then_env, stats);
             let mut else_env = env.clone();
-            let else_branch = fold_seq(else_branch, &mut else_env, unroll, stats);
+            let else_branch = fold_seq(else_branch, &mut else_env, stats);
             // At the join, only facts that survived both branches are safe;
             // conservatively kill everything either branch assigned.
             kill_assigned(env, &then_branch);
@@ -231,7 +214,7 @@ fn fold_stmt(
                     return;
                 }
             }
-            let body = fold_seq(body, env, unroll, stats);
+            let body = fold_seq(body, env, stats);
             kill_assigned(env, &body);
             out.push(Stmt::While { cond, body });
         }
@@ -246,34 +229,17 @@ fn fold_stmt(
                         stats.loops_removed += 1;
                         return;
                     }
-                    if a == b && unroll {
-                        // A single-iteration loop: bind the loop variable
-                        // and splice the body in place of the loop.
-                        stats.loops_removed += 1;
-                        kill(env, *var);
-                        env.insert(*var, Expr::Lit(Value::Int(a)));
-                        let mut unrolled = vec![Stmt::Let { var: *var, init: Expr::int(a) }];
-                        unrolled.extend(fold_seq(body, env, unroll, stats));
-                        kill_assigned(env, &unrolled);
-                        if !assigned_vars(body).contains(var) {
-                            // The body never reassigns the loop variable, so
-                            // its final value is still the single index.
-                            env.insert(*var, Expr::Lit(Value::Int(a)));
-                        }
-                        out.push(Stmt::Block(unrolled));
-                        return;
-                    }
                 }
             }
             kill(env, *var);
             kill_assigned(env, body);
-            let body = fold_seq(body, env, unroll, stats);
+            let body = fold_seq(body, env, stats);
             kill_assigned(env, &body);
             kill(env, *var);
             out.push(Stmt::For { var: *var, lo, hi, body });
         }
         Stmt::Block(body) => {
-            let body = fold_seq(body, env, unroll, stats);
+            let body = fold_seq(body, env, stats);
             out.push(Stmt::Block(body));
         }
     }
@@ -319,7 +285,7 @@ mod tests {
             Stmt::Store { buf: out, index: Expr::int(0), value: Expr::Var(a), reduce: None },
         ];
         let mut stats = OptStats::default();
-        let folded = fold_stmts(&prog, false, &mut stats);
+        let folded = fold_stmts(&prog, &mut stats);
         let stored_two = Stmt::count_matching(&folded, &|s| {
             matches!(s, Stmt::Store { value: Expr::Lit(Value::Int(2)), .. })
         });
@@ -341,7 +307,7 @@ mod tests {
             Stmt::Store { buf: out, index: Expr::int(0), value: Expr::Var(p), reduce: None },
         ];
         let mut stats = OptStats::default();
-        let folded = fold_stmts(&prog, false, &mut stats);
+        let folded = fold_stmts(&prog, &mut stats);
         // `p` must NOT be folded into the condition or the trailing store:
         // the loop reassigns it.
         let (orig, _) = run(&prog, &names, &bufs);
@@ -367,7 +333,7 @@ mod tests {
             Stmt::Store { buf: out, index: Expr::int(0), value: Expr::Var(a), reduce: None },
         ];
         let mut stats = OptStats::default();
-        let folded = fold_stmts(&prog, false, &mut stats);
+        let folded = fold_stmts(&prog, &mut stats);
         let (orig, _) = run(&prog, &names, &bufs);
         let (opt, _) = run(&folded, &names, &bufs);
         assert_eq!(orig.get(out), opt.get(out));

@@ -81,19 +81,15 @@ pub enum OptLevel {
     /// load hoisting, dead-code elimination, and the bytecode peephole.
     #[default]
     Default,
-    /// The [`OptLevel::Default`] pipeline iterated to a fixpoint, plus
-    /// single-iteration (`lo == hi`) loop elimination.
-    Aggressive,
 }
 
 impl OptLevel {
     /// A short stable label, used by the benchmark harness and its JSON
-    /// report (`none` / `default` / `aggressive`).
+    /// report (`none` / `default`).
     pub fn label(self) -> &'static str {
         match self {
             OptLevel::None => "none",
             OptLevel::Default => "default",
-            OptLevel::Aggressive => "aggressive",
         }
     }
 
@@ -102,14 +98,13 @@ impl OptLevel {
         match s {
             "none" | "0" => Some(OptLevel::None),
             "default" | "1" => Some(OptLevel::Default),
-            "aggressive" | "2" => Some(OptLevel::Aggressive),
             _ => None,
         }
     }
 
     /// All levels, in increasing aggressiveness.
-    pub fn all() -> [OptLevel; 3] {
-        [OptLevel::None, OptLevel::Default, OptLevel::Aggressive]
+    pub fn all() -> [OptLevel; 2] {
+        [OptLevel::None, OptLevel::Default]
     }
 }
 
@@ -129,8 +124,7 @@ pub struct OptStats {
     pub copies_propagated: u64,
     /// `if` statements whose condition was statically decided.
     pub branches_pruned: u64,
-    /// `while`/`for` loops removed because they statically never run (or,
-    /// at [`OptLevel::Aggressive`], run exactly once and were unrolled).
+    /// `while`/`for` loops removed because they statically never run.
     pub loops_removed: u64,
     /// Dead statements removed by DCE (never-read `let`/`assign` targets
     /// and emptied control flow).
@@ -173,8 +167,7 @@ fn count_stmts(stmts: &[Stmt]) -> u64 {
 }
 
 /// Constant folding, constant/copy propagation, and static control-flow
-/// pruning (`fold`) as a [`Pass`].  Honours
-/// [`PassCtx::unroll_point_loops`].
+/// pruning (`fold`) as a [`Pass`].
 pub struct FoldPass;
 
 impl Pass for FoldPass {
@@ -182,7 +175,7 @@ impl Pass for FoldPass {
         "fold"
     }
     fn run(&self, repr: Repr, ctx: &mut PassCtx<'_>) -> Repr {
-        Repr::Ir(fold::fold_stmts(&repr.into_ir(), ctx.unroll_point_loops, ctx.stats))
+        Repr::Ir(fold::fold_stmts(&repr.into_ir(), ctx.stats))
     }
     fn stats_contract(&self) -> StatsContract {
         StatsContract::Shrinks
@@ -258,8 +251,7 @@ impl Pass for TypingPass {
         "typing"
     }
     fn run(&self, repr: Repr, ctx: &mut PassCtx<'_>) -> Repr {
-        let bufs = ctx.bufs.expect("the typing pass needs the kernel's buffer set");
-        Repr::Bytecode(typing::specialize(&repr.into_bytecode(), bufs, ctx.stats))
+        Repr::Bytecode(typing::specialize(&repr.into_bytecode(), ctx.bufs, ctx.stats))
     }
 }
 
@@ -318,36 +310,16 @@ pub fn optimize_and_lower(
 ) -> Result<Lowered, PassError> {
     let mut stats = OptStats { ir_stmts_before: count_stmts(stmts), ..OptStats::default() };
     let mut manager = PassManager::new(validation);
-    let mut ctx = PassCtx {
-        names,
-        bufs: Some(bufs),
-        stats: &mut stats,
-        unroll_point_loops: level == OptLevel::Aggressive,
-    };
+    let mut ctx = PassCtx { names, bufs, stats: &mut stats };
     let code = match level {
         OptLevel::None => stmts.to_vec(),
         OptLevel::Default => run_ir_round(&mut manager, stmts.to_vec(), &mut ctx)?,
-        OptLevel::Aggressive => {
-            let mut code = stmts.to_vec();
-            // Iterate to a fixpoint: folding can expose new invariant
-            // loads, hoisting can expose new dead code, and so on.  The
-            // bound is a safety net; real kernels settle in 2-3 rounds.
-            for _ in 0..4 {
-                let next = run_ir_round(&mut manager, code.clone(), &mut ctx)?;
-                let settled = next == code;
-                code = next;
-                if settled {
-                    break;
-                }
-            }
-            code
-        }
     };
     ctx.stats.ir_stmts_after = count_stmts(&code);
     let program = manager.run_pass(&LowerPass, Repr::Ir(code.clone()), &mut ctx)?.into_bytecode();
     let program = match level {
         OptLevel::None => program,
-        _ => {
+        OptLevel::Default => {
             let fused =
                 manager.run_pass(&PeepholePass, Repr::Bytecode(program), &mut ctx)?.into_bytecode();
             if typed {
@@ -375,52 +347,6 @@ pub fn optimize_and_lower(
     Ok(Lowered { code, program, stats, reports: manager.into_reports() })
 }
 
-/// Run the IR-level optimisation pipeline at the given level.
-///
-/// `names` must be the table the program's variables were created from;
-/// LICM creates fresh variables for hoisted loads.  Returns the optimised
-/// program together with the per-pass [`OptStats`].  The bytecode-level
-/// passes are part of [`optimize_and_lower`], which also runs witness
-/// validation; this IR-only entry point verifies statically (no buffer
-/// set, so no witness runs) and panics on a verifier failure — its legacy
-/// callers treat the pipeline as infallible.
-pub fn optimize(stmts: &[Stmt], names: &mut Names, level: OptLevel) -> (Vec<Stmt>, OptStats) {
-    let mut stats = OptStats { ir_stmts_before: count_stmts(stmts), ..OptStats::default() };
-    let validation = match ValidationLevel::default() {
-        // Witness synthesis needs the buffer set; cap at static checks.
-        ValidationLevel::Full => ValidationLevel::Static,
-        other => other,
-    };
-    let mut manager = PassManager::new(validation);
-    let mut ctx = PassCtx {
-        names,
-        bufs: None,
-        stats: &mut stats,
-        unroll_point_loops: level == OptLevel::Aggressive,
-    };
-    let run = |manager: &mut PassManager, code: Vec<Stmt>, ctx: &mut PassCtx<'_>| {
-        run_ir_round(manager, code, ctx).expect("IR pipeline produced invalid code")
-    };
-    let code = match level {
-        OptLevel::None => stmts.to_vec(),
-        OptLevel::Default => run(&mut manager, stmts.to_vec(), &mut ctx),
-        OptLevel::Aggressive => {
-            let mut code = stmts.to_vec();
-            for _ in 0..4 {
-                let next = run(&mut manager, code.clone(), &mut ctx);
-                let settled = next == code;
-                code = next;
-                if settled {
-                    break;
-                }
-            }
-            code
-        }
-    };
-    stats.ir_stmts_after = count_stmts(&code);
-    (code, stats)
-}
-
 /// One fold → licm → dce round through the pass manager.
 fn run_ir_round(
     manager: &mut PassManager,
@@ -440,12 +366,33 @@ mod tests {
     use crate::interp::Interpreter;
     use crate::value::Value;
 
+    /// The IR rounds of the pipeline at `level` alone (no bytecode
+    /// stages), under the pass manager's default validation.
+    fn optimize_ir(
+        stmts: &[Stmt],
+        names: &mut Names,
+        bufs: &BufferSet,
+        level: OptLevel,
+    ) -> (Vec<Stmt>, OptStats) {
+        let mut stats = OptStats { ir_stmts_before: count_stmts(stmts), ..OptStats::default() };
+        let mut manager = PassManager::new(ValidationLevel::default());
+        let mut ctx = PassCtx { names, bufs, stats: &mut stats };
+        let code = match level {
+            OptLevel::None => stmts.to_vec(),
+            OptLevel::Default => {
+                run_ir_round(&mut manager, stmts.to_vec(), &mut ctx).expect("IR rounds validate")
+            }
+        };
+        stats.ir_stmts_after = count_stmts(&code);
+        (code, stats)
+    }
+
     /// Optimising at every level must leave buffer contents bit-identical.
     fn assert_value_exact(prog: &[Stmt], names: &Names, bufs: &BufferSet) {
         let mut reference: Option<BufferSet> = None;
         for level in OptLevel::all() {
             let mut names = names.clone();
-            let (code, _) = optimize(prog, &mut names, level);
+            let (code, _) = optimize_ir(prog, &mut names, bufs, level);
             let mut bufs = bufs.clone();
             let mut interp = Interpreter::new(&names);
             interp.run(&code, &mut bufs).expect("optimised program runs");
@@ -480,7 +427,7 @@ mod tests {
                 reduce: Option::None,
             },
         ];
-        let (code, stats) = optimize(&prog, &mut names.clone(), OptLevel::Default);
+        let (code, stats) = optimize_ir(&prog, &mut names.clone(), &bufs, OptLevel::Default);
         assert!(stats.folds > 0, "constant folding ran: {stats:?}");
         assert!(stats.copies_propagated > 0, "propagation ran: {stats:?}");
         assert!(stats.stmts_removed > 0, "dead lets removed: {stats:?}");
@@ -523,7 +470,7 @@ mod tests {
                 body: vec![Stmt::Comment("empty range".into())],
             },
         ];
-        let (code, stats) = optimize(&prog, &mut names.clone(), OptLevel::Default);
+        let (code, stats) = optimize_ir(&prog, &mut names.clone(), &bufs, OptLevel::Default);
         assert!(stats.branches_pruned >= 1, "{stats:?}");
         assert!(stats.loops_removed >= 2, "{stats:?}");
         assert_eq!(Stmt::count_matching(&code, &|s| matches!(s, Stmt::While { .. })), 0);
@@ -532,45 +479,11 @@ mod tests {
     }
 
     #[test]
-    fn aggressive_unrolls_single_iteration_loops() {
-        let mut names = Names::new();
-        let mut bufs = BufferSet::new();
-        let x = bufs.add("x", Buffer::F64(vec![1.0, 2.0, 3.0].into()));
-        let out = bufs.add("out", Buffer::F64(vec![0.0].into()));
-        let i = names.fresh("i");
-        let prog = vec![Stmt::For {
-            var: i,
-            lo: Expr::int(1),
-            hi: Expr::int(1),
-            body: vec![Stmt::Store {
-                buf: out,
-                index: Expr::int(0),
-                value: Expr::load(x, Expr::Var(i)),
-                reduce: Option::None,
-            }],
-        }];
-        let (default_code, _) = optimize(&prog, &mut names.clone(), OptLevel::Default);
-        assert_eq!(
-            Stmt::count_matching(&default_code, &|s| matches!(s, Stmt::For { .. })),
-            1,
-            "default keeps the loop"
-        );
-        let (aggr_code, stats) = optimize(&prog, &mut names.clone(), OptLevel::Aggressive);
-        assert_eq!(
-            Stmt::count_matching(&aggr_code, &|s| matches!(s, Stmt::For { .. })),
-            0,
-            "aggressive unrolls the point loop:\n{aggr_code:?}"
-        );
-        assert!(stats.loops_removed >= 1);
-        assert_value_exact(&prog, &names, &bufs);
-    }
-
-    #[test]
     fn opt_level_none_is_the_identity() {
         let mut names = Names::new();
         let a = names.fresh("a");
         let prog = vec![Stmt::Let { var: a, init: Expr::add(Expr::int(1), Expr::int(2)) }];
-        let (code, stats) = optimize(&prog, &mut names, OptLevel::None);
+        let (code, stats) = optimize_ir(&prog, &mut names, &BufferSet::new(), OptLevel::None);
         assert_eq!(code, prog);
         assert_eq!(stats.folds, 0);
         assert_eq!(stats.ir_stmts_before, stats.ir_stmts_after);

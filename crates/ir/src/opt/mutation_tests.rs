@@ -71,12 +71,7 @@ fn known_good_kernel() -> (Vec<Stmt>, Names, BufferSet) {
 fn run_ir_mutation(mutation: &SeededMutation) -> Result<Repr, PassError> {
     let (stmts, mut names, bufs) = known_good_kernel();
     let mut stats = OptStats::default();
-    let mut ctx = PassCtx {
-        names: &mut names,
-        bufs: Some(&bufs),
-        stats: &mut stats,
-        unroll_point_loops: false,
-    };
+    let mut ctx = PassCtx { names: &mut names, bufs: &bufs, stats: &mut stats };
     let mut manager = PassManager::new(ValidationLevel::Full);
     manager.run_pass(mutation, Repr::Ir(stmts), &mut ctx)
 }
@@ -86,12 +81,7 @@ fn run_bytecode_mutation(mutation: &SeededMutation) -> Result<Repr, PassError> {
     let (stmts, mut names, bufs) = known_good_kernel();
     let program = Program::compile(&stmts, &names);
     let mut stats = OptStats::default();
-    let mut ctx = PassCtx {
-        names: &mut names,
-        bufs: Some(&bufs),
-        stats: &mut stats,
-        unroll_point_loops: false,
-    };
+    let mut ctx = PassCtx { names: &mut names, bufs: &bufs, stats: &mut stats };
     let mut manager = PassManager::new(ValidationLevel::Full);
     manager.run_pass(mutation, Repr::Bytecode(program), &mut ctx)
 }
@@ -130,12 +120,7 @@ fn known_good_typed_kernel() -> (Program, Names, BufferSet) {
 fn run_typed_bytecode_mutation(mutation: &SeededMutation) -> Result<Repr, PassError> {
     let (program, mut names, bufs) = known_good_typed_kernel();
     let mut stats = OptStats::default();
-    let mut ctx = PassCtx {
-        names: &mut names,
-        bufs: Some(&bufs),
-        stats: &mut stats,
-        unroll_point_loops: false,
-    };
+    let mut ctx = PassCtx { names: &mut names, bufs: &bufs, stats: &mut stats };
     let mut manager = PassManager::new(ValidationLevel::Full);
     manager.run_pass(mutation, Repr::Bytecode(program), &mut ctx)
 }
@@ -429,8 +414,7 @@ fn an_overlapping_shard_partition_is_caught_and_attributed() {
     let pass = shard::ShardPass { specs };
     let run = |program: Program, names: &mut Names, bufs: &BufferSet| {
         let mut stats = OptStats::default();
-        let mut ctx =
-            PassCtx { names, bufs: Some(bufs), stats: &mut stats, unroll_point_loops: false };
+        let mut ctx = PassCtx { names, bufs, stats: &mut stats };
         let mut manager = PassManager::new(ValidationLevel::Full);
         manager.run_pass(&pass, Repr::Bytecode(program), &mut ctx)
     };

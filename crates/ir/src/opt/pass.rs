@@ -135,21 +135,16 @@ impl Repr {
 }
 
 /// Shared state a [`Pass`] runs against: the kernel's name table (LICM
-/// creates fresh variables), its buffer set when available (the typing
-/// pass seeds inference from buffer schemas; translation validation
-/// synthesizes witnesses from it), and the accumulated [`OptStats`].
+/// creates fresh variables), its buffer set (the typing pass seeds
+/// inference from buffer schemas; translation validation synthesizes
+/// witnesses from it), and the accumulated [`OptStats`].
 pub struct PassCtx<'a> {
     /// The name table of the program's variables.
     pub names: &'a mut Names,
-    /// The kernel's buffers, when compiling a real kernel.  `None` for
-    /// the standalone IR pipeline entry point, which skips the passes and
-    /// checks that need buffers.
-    pub bufs: Option<&'a BufferSet>,
+    /// The kernel's buffers.
+    pub bufs: &'a BufferSet,
     /// Per-pass counters, accumulated across the whole pipeline.
     pub stats: &'a mut OptStats,
-    /// Whether the folding pass may unroll statically-single-iteration
-    /// loops (the [`super::OptLevel::Aggressive`] extra).
-    pub unroll_point_loops: bool,
 }
 
 /// The [`ExecStats`] preservation contract a pass's output must satisfy
@@ -246,7 +241,7 @@ pub struct PassManager {
     reports: Vec<PassReport>,
     /// Per-witness cached outcome of the *current* representation; the
     /// post-state of the last validated pass.  `None` until the first
-    /// pass runs under [`ValidationLevel::Full`] with buffers available.
+    /// pass runs under [`ValidationLevel::Full`].
     witness_state: Option<Vec<(BufferSet, WitnessOutcome)>>,
 }
 
@@ -284,20 +279,18 @@ impl PassManager {
         // first transform runs.
         let mut validate_nanos = 0u64;
         if self.validation == ValidationLevel::Full && self.witness_state.is_none() {
-            if let Some(bufs) = ctx.bufs {
-                let t = Instant::now();
-                let witnesses = synthesize_witnesses(bufs);
-                self.witness_state = Some(
-                    witnesses
-                        .into_iter()
-                        .map(|w| {
-                            let outcome = execute_witness(&repr, ctx.names, &w);
-                            (w, outcome)
-                        })
-                        .collect(),
-                );
-                validate_nanos += t.elapsed().as_nanos() as u64;
-            }
+            let t = Instant::now();
+            let witnesses = synthesize_witnesses(ctx.bufs);
+            self.witness_state = Some(
+                witnesses
+                    .into_iter()
+                    .map(|w| {
+                        let outcome = execute_witness(&repr, ctx.names, &w);
+                        (w, outcome)
+                    })
+                    .collect(),
+            );
+            validate_nanos += t.elapsed().as_nanos() as u64;
         }
 
         let t = Instant::now();
@@ -309,10 +302,7 @@ impl PassManager {
             let t = Instant::now();
             let checked = match &post {
                 Repr::Ir(stmts) => verify_ir(stmts, ctx.names, ctx.bufs),
-                Repr::Bytecode(program) => match ctx.bufs {
-                    Some(bufs) => verify_bytecode(program, bufs),
-                    None => program.validate(),
-                },
+                Repr::Bytecode(program) => verify_bytecode(program, ctx.bufs),
             };
             verify_nanos = t.elapsed().as_nanos() as u64;
             checked.map_err(|detail| PassError { pass: pass.name(), detail })?;

@@ -30,14 +30,13 @@ use crate::var::{Names, Var};
 /// Verify the statement-tree invariants of a lowered (and possibly
 /// optimised) IR program.
 ///
-/// `bufs` is optional: the def-before-use and effect-ordering checks are
-/// purely structural, while the buffer-range and schema checks need the
-/// buffer set and are skipped without one.
+/// The def-before-use and effect-ordering checks are purely structural;
+/// `bufs` feeds the buffer-range and schema checks.
 ///
 /// # Errors
 ///
 /// Returns a description of the first violated invariant.
-pub fn verify_ir(stmts: &[Stmt], names: &Names, bufs: Option<&BufferSet>) -> Result<(), String> {
+pub fn verify_ir(stmts: &[Stmt], names: &Names, bufs: &BufferSet) -> Result<(), String> {
     let mut v = IrVerifier { names, bufs, binders: Vec::new(), fibers: HashMap::new() };
     let mut defined = HashSet::new();
     v.check_seq(stmts, &mut defined)?;
@@ -47,7 +46,7 @@ pub fn verify_ir(stmts: &[Stmt], names: &Names, bufs: Option<&BufferSet>) -> Res
 
 struct IrVerifier<'a> {
     names: &'a Names,
-    bufs: Option<&'a BufferSet>,
+    bufs: &'a BufferSet,
     /// `for` binders currently in scope (they may be read, never written).
     binders: Vec<Var>,
     /// `pos -> data` pairing of every `FiberEnd` seen so far.
@@ -75,14 +74,12 @@ impl IrVerifier<'_> {
     }
 
     fn check_buf(&self, buf: BufId, what: &str) -> Result<(), String> {
-        if let Some(bufs) = self.bufs {
-            if buf.index() >= bufs.len() {
-                return Err(format!(
-                    "{what} references buffer #{} outside the set of {}",
-                    buf.index(),
-                    bufs.len()
-                ));
-            }
+        if buf.index() >= self.bufs.len() {
+            return Err(format!(
+                "{what} references buffer #{} outside the set of {}",
+                buf.index(),
+                self.bufs.len()
+            ));
         }
         Ok(())
     }
@@ -161,13 +158,11 @@ impl IrVerifier<'_> {
                 Stmt::FiberEnd { pos, data } => {
                     self.check_buf(*pos, "fiber end")?;
                     self.check_buf(*data, "fiber end")?;
-                    if let Some(bufs) = self.bufs {
-                        if !matches!(bufs.get(*pos), Buffer::I64(_)) {
-                            return Err(format!(
-                                "fiber end writes pos buffer `{}`, which is not an i64 buffer",
-                                bufs.name(*pos)
-                            ));
-                        }
+                    if !matches!(self.bufs.get(*pos), Buffer::I64(_)) {
+                        return Err(format!(
+                            "fiber end writes pos buffer `{}`, which is not an i64 buffer",
+                            self.bufs.name(*pos)
+                        ));
                     }
                     match self.fibers.get(pos) {
                         Some(prev) if prev != data => {
@@ -463,7 +458,7 @@ mod tests {
             Stmt::Let { var: a, init: Expr::load(x, Expr::int(0)) },
             Stmt::Store { buf: out, index: Expr::int(0), value: Expr::Var(a), reduce: None },
         ];
-        verify_ir(&prog, &names, Some(&bufs)).expect("well-formed program verifies");
+        verify_ir(&prog, &names, &bufs).expect("well-formed program verifies");
     }
 
     #[test]
@@ -474,7 +469,7 @@ mod tests {
             Stmt::Store { buf: out, index: Expr::int(0), value: Expr::Var(a), reduce: None },
             Stmt::Let { var: a, init: Expr::int(1) },
         ];
-        let err = verify_ir(&prog, &names, Some(&bufs)).unwrap_err();
+        let err = verify_ir(&prog, &names, &bufs).unwrap_err();
         assert!(err.contains("before any dominating definition"), "{err}");
     }
 
@@ -492,7 +487,7 @@ mod tests {
             },
             Stmt::Store { buf: out, index: Expr::int(0), value: Expr::Var(a), reduce: None },
         ];
-        let err = verify_ir(&prog, &names, Some(&bufs)).unwrap_err();
+        let err = verify_ir(&prog, &names, &bufs).unwrap_err();
         assert!(err.contains("`a`"), "{err}");
     }
 
@@ -508,7 +503,7 @@ mod tests {
             },
             Stmt::Store { buf: out, index: Expr::int(0), value: Expr::Var(a), reduce: None },
         ];
-        verify_ir(&both, &names, Some(&bufs)).expect("both-path definition dominates");
+        verify_ir(&both, &names, &bufs).expect("both-path definition dominates");
         let one = vec![
             Stmt::If {
                 cond: Expr::bool(true),
@@ -517,7 +512,7 @@ mod tests {
             },
             Stmt::Store { buf: out, index: Expr::int(0), value: Expr::Var(a), reduce: None },
         ];
-        assert!(verify_ir(&one, &names, Some(&bufs)).is_err());
+        assert!(verify_ir(&one, &names, &bufs).is_err());
     }
 
     #[test]
@@ -530,7 +525,7 @@ mod tests {
             hi: Expr::int(2),
             body: vec![Stmt::Assign { var: i, value: Expr::int(0) }],
         }];
-        let err = verify_ir(&prog, &names, Some(&bufs)).unwrap_err();
+        let err = verify_ir(&prog, &names, &bufs).unwrap_err();
         assert!(err.contains("loop binder"), "{err}");
     }
 
@@ -544,10 +539,8 @@ mod tests {
             value: Expr::int(1),
             reduce: None,
         }];
-        let err = verify_ir(&prog, &names, Some(&bufs)).unwrap_err();
+        let err = verify_ir(&prog, &names, &bufs).unwrap_err();
         assert!(err.contains("outside the set"), "{err}");
-        // Without a buffer set the structural checks still pass.
-        verify_ir(&prog, &names, None).expect("no buffer set, no buffer check");
     }
 
     #[test]
@@ -558,10 +551,10 @@ mod tests {
         let idx = bufs.add("idx", Buffer::I64(Vec::new().into()));
         let good =
             vec![Stmt::Append { buf: idx, value: Expr::int(3) }, Stmt::FiberEnd { pos, data: idx }];
-        verify_ir(&good, &names, Some(&bufs)).expect("append-then-close verifies");
+        verify_ir(&good, &names, &bufs).expect("append-then-close verifies");
         let bad =
             vec![Stmt::FiberEnd { pos, data: idx }, Stmt::Append { buf: idx, value: Expr::int(3) }];
-        let err = verify_ir(&bad, &names, Some(&bufs)).unwrap_err();
+        let err = verify_ir(&bad, &names, &bufs).unwrap_err();
         assert!(err.contains("after its fiber was closed"), "{err}");
     }
 
@@ -589,7 +582,7 @@ mod tests {
                 Stmt::FiberEnd { pos, data: idx },
             ],
         }];
-        verify_ir(&prog, &names, Some(&bufs)).expect("per-iteration fibers verify");
+        verify_ir(&prog, &names, &bufs).expect("per-iteration fibers verify");
     }
 
     #[test]
@@ -600,7 +593,7 @@ mod tests {
         let idx = bufs.add("idx", Buffer::I64(Vec::new().into()));
         let prog =
             vec![Stmt::Append { buf: pos, value: Expr::int(0) }, Stmt::FiberEnd { pos, data: idx }];
-        let err = verify_ir(&prog, &names, Some(&bufs)).unwrap_err();
+        let err = verify_ir(&prog, &names, &bufs).unwrap_err();
         assert!(err.contains("pos buffer"), "{err}");
     }
 
@@ -612,7 +605,7 @@ mod tests {
         let idx = bufs.add("idx", Buffer::I64(Vec::new().into()));
         let val = bufs.add("val", Buffer::F64(Vec::new().into()));
         let prog = vec![Stmt::FiberEnd { pos, data: idx }, Stmt::FiberEnd { pos, data: val }];
-        let err = verify_ir(&prog, &names, Some(&bufs)).unwrap_err();
+        let err = verify_ir(&prog, &names, &bufs).unwrap_err();
         assert!(err.contains("two different data buffers"), "{err}");
     }
 
@@ -623,7 +616,7 @@ mod tests {
         let posf = bufs.add("posf", Buffer::F64(vec![0.0].into()));
         let idx = bufs.add("idx", Buffer::I64(Vec::new().into()));
         let prog = vec![Stmt::FiberEnd { pos: posf, data: idx }];
-        let err = verify_ir(&prog, &names, Some(&bufs)).unwrap_err();
+        let err = verify_ir(&prog, &names, &bufs).unwrap_err();
         assert!(err.contains("not an i64 buffer"), "{err}");
     }
 

@@ -73,9 +73,14 @@ struct Pool {
 
 static POOL: OnceLock<Mutex<Pool>> = OnceLock::new();
 
-/// Submit jobs to the process-wide worker pool, growing it to at least
-/// `want` workers first.  Worker threads live for the process lifetime.
-fn pool_submit(want: usize, jobs: Vec<Job>) {
+/// Submit jobs to the process-wide worker pool, growing it first to one
+/// worker per job, capped at [`std::thread::available_parallelism`].
+/// Worker threads live for the process lifetime.  Jobs beyond the worker
+/// count queue; shard jobs never wait on each other, so queueing cannot
+/// deadlock.
+fn pool_submit(jobs: Vec<Job>) {
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let want = jobs.len().min(cores);
     let pool = POOL.get_or_init(|| {
         let (tx, rx) = mpsc::channel::<Job>();
         Mutex::new(Pool { tx, rx: Arc::new(Mutex::new(rx)), workers: 0 })
@@ -106,38 +111,10 @@ fn pool_submit(want: usize, jobs: Vec<Job>) {
     }
 }
 
-/// Run `jobs` on the process-wide worker pool, blocking until every job
-/// has completed (panicking jobs count as completed; the panic is
-/// contained so it cannot take a pool worker down).  The pool is grown
-/// to at least `workers` threads first.  This is the same pool the
-/// sharded execution tier uses — long-lived services (and the `serve`
-/// bench driver) replay concurrent request streams over it without
-/// paying per-request thread spawns.
-///
-/// Callers whose jobs themselves run sharded kernels should use
-/// dedicated threads instead: a job blocking on shard results while
-/// every pool worker is occupied by other jobs can deadlock the pool.
-pub fn pool_run(workers: usize, jobs: Vec<Box<dyn FnOnce() + Send + 'static>>) {
-    let n = jobs.len();
-    if n == 0 {
-        return;
-    }
-    let (tx, rx) = mpsc::channel::<()>();
-    let wrapped: Vec<Job> = jobs
-        .into_iter()
-        .map(|job| {
-            let tx = tx.clone();
-            let wrapped: Job = Box::new(move || {
-                let _ = catch_unwind(AssertUnwindSafe(job));
-                let _ = tx.send(());
-            });
-            wrapped
-        })
-        .collect();
-    pool_submit(workers.max(1), wrapped);
-    for _ in 0..n {
-        let _ = rx.recv();
-    }
+/// Number of worker threads the process-wide shard pool holds.  The pool
+/// never grows past [`std::thread::available_parallelism`].
+pub fn pool_workers() -> usize {
+    POOL.get().map_or(0, |p| p.lock().unwrap_or_else(|e| e.into_inner()).workers)
 }
 
 /// A `Send`-able raw pointer to data the master thread keeps alive (and
@@ -476,7 +453,7 @@ fn run_region(
             })
             .collect();
         let spawned = jobs.len();
-        pool_submit(threads.saturating_sub(1), jobs);
+        pool_submit(jobs);
 
         let first = shard_exec(program, shared, region, &base_vm, ranges[0].0, ranges[0].1, true);
 

@@ -1,13 +1,13 @@
 //! The resilient kernel service: compile once, serve forever.
 //!
 //! A long-lived [`KernelService`] caches compiled kernels by *structure*
-//! (program text + input formats/sizes + output formats + opt
-//! configuration).  Requests with fresh data but the same structure skip
+//! (program text + input formats/sizes + output formats).  Requests with
+//! fresh data but the same structure skip
 //! compilation: the cached kernel's input buffers are overwritten in place
 //! and its persistent VM re-runs without allocating.  The service survives
 //! faults by design — panicking kernels are quarantined, recompiled, and
-//! degraded down an execution ladder whose every tier returns bit-identical
-//! results; deadlines and budgets surface as typed errors.
+//! degraded to the tree-walk oracle, which returns bit-identical results;
+//! deadlines and budgets surface as typed errors.
 //!
 //! ```bash
 //! cargo run --release --example serve
@@ -63,8 +63,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // 2. Fault injection: two stacked panics force the fast tier AND its
-    //    quarantine-recompile retry to fail, degrading the request one tier
-    //    down the ladder — with a bit-identical result.
+    //    quarantine-recompile retry to fail, degrading the request to the
+    //    oracle tier — with a bit-identical result.
     let baseline = svc.submit(&dot_request(&a, &b))?.scalar.unwrap();
     // The service catches the injected panics; silence the default hook's
     // backtraces so the demo output stays readable.

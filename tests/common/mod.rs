@@ -46,7 +46,7 @@ pub fn assert_opt_level_parity(kernel: &CompiledKernel, what: &str) {
         let mut per_dispatch: Vec<(bool, looplets_repro::finch::ExecStats, OutputBits)> =
             Vec::new();
         for typed in [true, false] {
-            let mut k = kernel.reoptimized_typed(level, typed);
+            let mut k = kernel.reoptimized_simd(level, typed, kernel.simd());
             assert_eq!(k.opt_level(), level);
             assert_eq!(k.typed_dispatch(), typed);
             assert_engine_parity(&mut k, &format!("{what} at {level} (typed={typed})"));

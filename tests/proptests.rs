@@ -203,7 +203,7 @@ proptest! {
     }
 
     /// For random kernels, outputs are bit-identical across
-    /// `OptLevel::None`, `Default` and `Aggressive` on both engines, and
+    /// `OptLevel::None` and `Default` on both engines, and
     /// the engines agree on `ExecStats` exactly at every level.
     #[test]
     fn opt_levels_are_bit_identical_for_any_dot_kernel(
@@ -329,8 +329,8 @@ proptest! {
             (stats, pos, idx, val)
         };
         for level in OptLevel::all() {
-            let mut typed = k.reoptimized_typed(level, true);
-            let mut generic = k.reoptimized_typed(level, false);
+            let mut typed = k.reoptimized_simd(level, true, k.simd());
+            let mut generic = k.reoptimized_simd(level, false, k.simd());
             let t = raw_level(&mut typed);
             let g = raw_level(&mut generic);
             prop_assert_eq!(t, g, "typed vs generic diverge at {}", level);
@@ -426,7 +426,7 @@ proptest! {
     /// The DCE safety net, end to end: compiled with **full translation
     /// validation**, random sparse-output kernels keep bit-identical
     /// assembled `pos`/`idx`/`val` arrays between `OptLevel::None` and
-    /// `OptLevel::Aggressive`.  Dead-code elimination may never delete an
+    /// `OptLevel::Default`.  Dead-code elimination may never delete an
     /// effectful `Append`/`FiberEnd` — if it did, the per-pass validator
     /// would already fail the compile naming `dce`, and this comparison
     /// would catch anything that slipped past it.
@@ -465,12 +465,12 @@ proptest! {
                 }
             };
             let mut unopt = k.reoptimized(OptLevel::None);
-            let mut aggressive = k.reoptimized(OptLevel::Aggressive);
+            let mut optimized = k.reoptimized(OptLevel::Default);
             prop_assert_eq!(unopt.validation(), ValidationLevel::Full);
             prop_assert_eq!(
                 raw_level(&mut unopt),
-                raw_level(&mut aggressive),
-                "assembled pos/idx/val diverge between None and Aggressive ({op})"
+                raw_level(&mut optimized),
+                "assembled pos/idx/val diverge between None and Default ({op})"
             );
         }
     }
