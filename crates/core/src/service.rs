@@ -74,7 +74,9 @@ use crate::error::{CompileError, ServiceError};
 use crate::kernel::{CompiledKernel, Engine, Kernel};
 use crate::queue::{AdmissionQueue, AdmitError, Permit, ServiceState};
 
-/// Configuration for a [`KernelService`].
+/// Configuration for a [`KernelService`].  Kernels compile with the
+/// [`Kernel`] defaults — the `Default` optimisation level, typed dispatch
+/// and SIMD — plus the `threads` and `validation` set here.
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
     /// Maximum number of cached compiled kernels (LRU-evicted beyond this).
